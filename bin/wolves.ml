@@ -2021,17 +2021,22 @@ let serve_cmd =
           | Some (oc, close) -> if close then close_out_noerr oc
           | None -> ()
         in
+        (* SIGINT/SIGTERM only flip a flag, and the handlers go in before the
+           socket is bound: a signal that lands while the server is still
+           starting up is then a drain request, never a kill. *)
+        let signalled = Atomic.make false in
+        List.iter
+          (fun s ->
+            try
+              Sys.set_signal s
+                (Sys.Signal_handle (fun _ -> Atomic.set signalled true))
+            with Invalid_argument _ | Sys_error _ -> ())
+          [ Sys.sigint; Sys.sigterm ];
         with_metrics metrics (fun () ->
             match Srv.start ~config listen service with
             | exception Invalid_argument msg -> fail "%s" msg
             | Error msg -> fail "%s" msg
             | Ok server ->
-              List.iter
-                (fun s ->
-                  try Sys.set_signal s
-                        (Sys.Signal_handle (fun _ -> Srv.request_stop server))
-                  with Invalid_argument _ | Sys_error _ -> ())
-                [ Sys.sigint; Sys.sigterm ];
               let where =
                 match Srv.address server with
                 | Some (Unix.ADDR_INET (a, p)) ->
@@ -2044,10 +2049,9 @@ let serve_cmd =
                  %d\n%!"
                 (Svc.size service) where config.Srv.workers
                 config.Srv.queue_depth;
-              (* SIGINT/SIGTERM flip the flag; everything else — drain,
-                 join, unlink, metrics flush — happens here, in signal-free
-                 context. *)
-              while not (Srv.stop_requested server) do
+              (* everything else — drain, join, unlink — happens here, in
+                 signal-free context *)
+              while not (Atomic.get signalled || Srv.stop_requested server) do
                 try Unix.sleepf 0.2
                 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
               done;
@@ -2074,7 +2078,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Long-running provenance query service: load a corpus once, pin \
-          closure + label indexes, and answer \
+          its closure indexes, and answer \
           validate/correct/query/lint/analyze requests concurrently over a \
           line protocol (see docs/PROTOCOL.md). Bounded admission queue \
           with $(b,OVERLOADED) load-shedding, per-connection timeouts, \

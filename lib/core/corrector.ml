@@ -772,18 +772,16 @@ let correct ?(config = default_config) ?domains criterion view =
       (* Each unsound composite is corrected independently from the spec
          and its (already forced, read-only) closure, so the splits farm
          across the pool. The view is only rebuilt afterwards, on this
-         domain; worker metrics land in per-job shards merged back in
-         composite order, so the registry — like the outcome list — is
-         identical to the sequential run. *)
+         domain. Jobs record straight into the registry, whose counter
+         totals — like the outcome list — match the sequential run, and
+         stay untraced. *)
       ignore (Spec.reach spec);
       let results =
         Par.map_ordered ~domains
-          (fun (c, _) -> Obs.with_new_shard (fun () -> split c))
+          (fun (c, _) -> Obs.untraced (fun () -> split c))
           unsound
       in
-      Array.iter (fun (_, sh) -> Obs.merge_shard sh) results;
-      List.mapi (fun i (c, _) -> (c, fst results.(i)))
-        (Array.to_list unsound)
+      List.mapi (fun i (c, _) -> (c, results.(i))) (Array.to_list unsound)
     end
   in
   let replacements = List.map (fun (c, o) -> (c, o.parts)) outcomes in

@@ -1,5 +1,6 @@
 (** Combined reachability labels for DAGs — the Bao–Davidson-style compact
-    index behind [Soundness.validate ~engine:`Labels].
+    index behind [wolves analyze --labels], cross-validated there against
+    the dense closure.
 
     Every node carries a few machine words of labels drawn from three
     existing indexes, layered from cheapest to most general:

@@ -1,36 +1,49 @@
+(* Every cell is atomic, so any domain may record into any cell at any
+   time: pool workers, server worker domains and the coordinating domain
+   all write the same records, and a snapshot taken mid-flight is always
+   internally consistent. Each counter and timer carries the switch that
+   gates it — registered cells share the registry's enable flag,
+   unregistered ones the constant [always] — so the disabled path stays a
+   single load-and-branch either way. *)
+
+let flag = ref false
+
+let always = ref true
+
 type counter = {
   c_name : string;
-  mutable c_value : int;
+  c_on : bool ref;
+  c_value : int Atomic.t;
 }
 
 type gauge = {
   g_name : string;
-  mutable g_value : float;
-  mutable g_set : bool;
+  g_value : float option Atomic.t;  (** [None] until first set *)
 }
 
-(* Shared fixed log-scale bucket bounds: powers of 4 starting at 4ns, the
-   last bucket unbounded. 20 buckets span 4ns .. ~275s, plenty for anything
-   this repository times. *)
-let n_buckets = 21
+(* Shared fixed log-scale bucket bounds: powers of 2 from 4ns, the last
+   bucket unbounded. 39 bounded buckets span 4ns .. ~1100s, and the factor-2
+   step keeps every percentile estimate within 2x of the true value. *)
+let n_buckets = 40
 
 let bucket_bounds =
   Array.init n_buckets (fun i ->
-      if i = n_buckets - 1 then infinity else 4e-9 *. (4.0 ** float_of_int i))
+      if i = n_buckets - 1 then infinity else 4e-9 *. Float.of_int (1 lsl i))
 
-let bucket_of d =
-  let i = ref 0 in
-  while !i < n_buckets - 1 && d > bucket_bounds.(!i) do
-    incr i
-  done;
-  !i
+(* The bucket of a duration in integer nanoseconds: the first [i] with
+   [ns <= 4 lsl i], or the unbounded last one. *)
+let bucket_of_ns ns =
+  let rec go i bound =
+    if ns <= bound || i = n_buckets - 1 then i else go (i + 1) (bound lsl 1)
+  in
+  go 0 4
 
 type timer = {
   t_name : string;
-  mutable t_count : int;
-  mutable t_sum : float;
-  mutable t_max : float;
-  t_buckets : int array;
+  t_on : bool ref;
+  t_buckets : int Atomic.t array;
+  t_sum_ns : int Atomic.t;
+  t_max_ns : int Atomic.t;
 }
 
 type metric =
@@ -52,32 +65,6 @@ let locked f =
   Mutex.lock registry_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
 
-(* --- domain shards --- *)
-
-(* A shard is a detached recording buffer: while one is installed in a
-   domain's local storage, every [incr]/[add]/[set]/[observe] of that
-   domain lands in the shard instead of the shared metric records, so
-   parallel workers never race on a counter. The driver that farmed the
-   work merges the shards back into the registry afterwards, in a
-   deterministic order. *)
-
-type sh_timer = {
-  mutable sh_count : int;
-  mutable sh_sum : float;
-  mutable sh_max : float;
-  sh_buckets : int array;
-}
-
-type shard = {
-  sh_counters : (string, int ref) Hashtbl.t;
-  sh_gauges : (string, float ref) Hashtbl.t;
-  sh_timers : (string, sh_timer) Hashtbl.t;
-}
-
-let shard_key : shard option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let current_shard () = Domain.DLS.get shard_key
-
 (* Two independent switches share the fast path: [flag] gates metric
    recording, [tracer] receives event-level begin/end/instant callbacks.
    [hot] is their disjunction, maintained on every switch flip, so the
@@ -91,8 +78,6 @@ type tracer = {
   on_end : string -> unit;
   on_instant : string -> (unit -> span_args) -> unit;
 }
-
-let flag = ref false
 
 let tracer : tracer option ref = ref None
 
@@ -144,108 +129,88 @@ let register name make extract =
     Hashtbl.replace registry name m;
     x
 
+let new_counter on name = { c_name = name; c_on = on; c_value = Atomic.make 0 }
+
+let new_timer on name =
+  { t_name = name;
+    t_on = on;
+    t_buckets = Array.init n_buckets (fun _ -> Atomic.make 0);
+    t_sum_ns = Atomic.make 0;
+    t_max_ns = Atomic.make 0 }
+
 let counter name =
   register name
     (fun () ->
-      let c = { c_name = name; c_value = 0 } in
+      let c = new_counter flag name in
       (c, Counter c))
     (function Counter c -> Some c | _ -> None)
 
 let gauge name =
   register name
     (fun () ->
-      let g = { g_name = name; g_value = 0.0; g_set = false } in
+      let g = { g_name = name; g_value = Atomic.make None } in
       (g, Gauge g))
     (function Gauge g -> Some g | _ -> None)
 
 let timer name =
   register name
     (fun () ->
-      let t =
-        { t_name = name;
-          t_count = 0;
-          t_sum = 0.0;
-          t_max = 0.0;
-          t_buckets = Array.make n_buckets 0 }
-      in
+      let t = new_timer flag name in
       (t, Timer t))
     (function Timer t -> Some t | _ -> None)
 
+let unregistered_counter name = new_counter always name
+
+let unregistered_timer name = new_timer always name
+
 (* --- recording --- *)
 
-(* The disabled path stays one load-and-branch; the enabled path pays one
-   domain-local read to find out whether a shard is installed. *)
-
-let shard_bump sh name n =
-  match Hashtbl.find_opt sh.sh_counters name with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.replace sh.sh_counters name (ref n)
-
-let add c n =
-  if !flag then
-    match current_shard () with
-    | None -> c.c_value <- c.c_value + n
-    | Some sh -> shard_bump sh c.c_name n
+let add c n = if !(c.c_on) then ignore (Atomic.fetch_and_add c.c_value n)
 
 let incr c = add c 1
 
-let set g v =
-  if !flag then
-    match current_shard () with
-    | None ->
-      g.g_value <- v;
-      g.g_set <- true
-    | Some sh ->
-      (match Hashtbl.find_opt sh.sh_gauges g.g_name with
-       | Some r -> r := v
-       | None -> Hashtbl.replace sh.sh_gauges g.g_name (ref v))
+let set g v = if !flag then Atomic.set g.g_value (Some v)
+
+(* Seconds to rounded integer nanoseconds, clamped to [0, 1e9 s] so that
+   negative, NaN and absurd durations cannot break the integer sum. *)
+let ns_of_seconds d =
+  if d > 0.0 then Float.to_int ((Float.min d 1e9 *. 1e9) +. 0.5) else 0
+
+let rec raise_to cell v =
+  let cur = Atomic.get cell in
+  if v > cur && not (Atomic.compare_and_set cell cur v) then raise_to cell v
 
 let observe t d =
-  if !flag then begin
-    let d = Float.max 0.0 d in
-    match current_shard () with
-    | None ->
-      t.t_count <- t.t_count + 1;
-      t.t_sum <- t.t_sum +. d;
-      if d > t.t_max then t.t_max <- d;
-      let b = t.t_buckets in
-      let i = bucket_of d in
-      b.(i) <- b.(i) + 1
-    | Some sh ->
-      let st =
-        match Hashtbl.find_opt sh.sh_timers t.t_name with
-        | Some st -> st
-        | None ->
-          let st =
-            { sh_count = 0;
-              sh_sum = 0.0;
-              sh_max = 0.0;
-              sh_buckets = Array.make n_buckets 0 }
-          in
-          Hashtbl.replace sh.sh_timers t.t_name st;
-          st
-      in
-      st.sh_count <- st.sh_count + 1;
-      st.sh_sum <- st.sh_sum +. d;
-      if d > st.sh_max then st.sh_max <- d;
-      let i = bucket_of d in
-      st.sh_buckets.(i) <- st.sh_buckets.(i) + 1
+  if !(t.t_on) then begin
+    let ns = ns_of_seconds d in
+    (* max and sum before the bucket: a concurrent [timer_stats], which
+       reads the buckets first, sees both for every observation it counts *)
+    raise_to t.t_max_ns ns;
+    ignore (Atomic.fetch_and_add t.t_sum_ns ns);
+    Atomic.incr t.t_buckets.(bucket_of_ns ns)
   end
 
 let no_args () = []
 
 (* The ring-buffer tracer is a single shared collector and is not
-   domain-safe; while a shard is installed (i.e. inside a parallel worker
-   job) event emission is suppressed rather than interleaved. *)
+   domain-safe, so parallel jobs run under [untraced]: a domain-local
+   switch that silences event emission while recording carries on. *)
+let quiet_key : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
+
+let untraced f =
+  let quiet = Domain.DLS.get quiet_key in
+  let saved = !quiet in
+  quiet := true;
+  Fun.protect ~finally:(fun () -> quiet := saved) f
 
 let trace_begin name args =
   match !tracer with
-  | Some tr when current_shard () = None -> tr.on_begin name args
+  | Some tr when not !(Domain.DLS.get quiet_key) -> tr.on_begin name args
   | _ -> ()
 
 let trace_end name =
   match !tracer with
-  | Some tr when current_shard () = None -> tr.on_end name
+  | Some tr when not !(Domain.DLS.get quiet_key) -> tr.on_end name
   | _ -> ()
 
 let time ?(args = no_args) t f =
@@ -262,7 +227,7 @@ let time ?(args = no_args) t f =
 
 let instant name args =
   match !tracer with
-  | Some tr when current_shard () = None -> tr.on_instant name args
+  | Some tr when not !(Domain.DLS.get quiet_key) -> tr.on_instant name args
   | _ -> ()
 
 (* --- spans --- *)
@@ -297,9 +262,9 @@ let with_span ?(args = no_args) name f =
 
 (* --- reading --- *)
 
-let counter_value c = c.c_value
+let counter_value c = Atomic.get c.c_value
 
-let gauge_value g = if g.g_set then Some g.g_value else None
+let gauge_value g = Atomic.get g.g_value
 
 type timer_stats = {
   count : int;
@@ -309,17 +274,17 @@ type timer_stats = {
 }
 
 let timer_stats t =
-  (* Read the bucket array once and derive [count] from that copy rather
-     than from [t_count]: unsharded recorders (a server worker crossing an
-     instrumented region mid-handler) race the two fields apart, and a
-     published histogram whose +Inf bucket disagrees with its _count fails
-     exposition validation. Deriving one from the other makes every
-     snapshot internally consistent no matter how the races land. *)
-  let buckets =
-    List.init n_buckets (fun i -> (bucket_bounds.(i), t.t_buckets.(i)))
-  in
-  let count = List.fold_left (fun acc (_, n) -> acc + n) 0 buckets in
-  { count; sum = t.t_sum; max = t.t_max; buckets }
+  (* Buckets first, then sum and max (the reverse of [observe]'s order).
+     [count] is derived from the bucket copy rather than kept apart, so a
+     snapshot's _count always equals its +Inf bucket however concurrent
+     recorders interleave with the read. *)
+  let counts = Array.map Atomic.get t.t_buckets in
+  let sum_ns = Atomic.get t.t_sum_ns in
+  let max_ns = Atomic.get t.t_max_ns in
+  { count = Array.fold_left ( + ) 0 counts;
+    sum = Float.of_int sum_ns /. 1e9;
+    max = Float.of_int max_ns /. 1e9;
+    buckets = List.init n_buckets (fun i -> (bucket_bounds.(i), counts.(i))) }
 
 type snapshot = {
   counters : (string * int) list;
@@ -333,15 +298,22 @@ let snapshot () =
       Hashtbl.iter
         (fun _ metric ->
           match metric with
-          | Counter c -> counters := (c.c_name, c.c_value) :: !counters
+          | Counter c -> counters := (c.c_name, counter_value c) :: !counters
           | Gauge g ->
-            if g.g_set then gauges := (g.g_name, g.g_value) :: !gauges
+            Option.iter
+              (fun v -> gauges := (g.g_name, v) :: !gauges)
+              (gauge_value g)
           | Timer t -> timers := (t.t_name, timer_stats t) :: !timers)
         registry);
   let by_name (a, _) (b, _) = compare a b in
   { counters = List.sort by_name !counters;
     gauges = List.sort by_name !gauges;
     timers = List.sort by_name !timers }
+
+let cells_snapshot ~counters ~timers =
+  { counters = List.map (fun c -> (c.c_name, counter_value c)) counters;
+    gauges = [];
+    timers = List.map (fun t -> (t.t_name, timer_stats t)) timers }
 
 let reset () =
   (* Also unwind the open-span stack: a [reset] inside a [with_span] must
@@ -354,75 +326,13 @@ let reset () =
       Hashtbl.iter
         (fun _ metric ->
           match metric with
-          | Counter c -> c.c_value <- 0
-          | Gauge g ->
-            g.g_value <- 0.0;
-            g.g_set <- false
+          | Counter c -> Atomic.set c.c_value 0
+          | Gauge g -> Atomic.set g.g_value None
           | Timer t ->
-            t.t_count <- 0;
-            t.t_sum <- 0.0;
-            t.t_max <- 0.0;
-            Array.fill t.t_buckets 0 n_buckets 0)
+            Array.iter (fun b -> Atomic.set b 0) t.t_buckets;
+            Atomic.set t.t_sum_ns 0;
+            Atomic.set t.t_max_ns 0)
         registry)
-
-(* --- shard lifecycle --- *)
-
-let create_shard () =
-  { sh_counters = Hashtbl.create 16;
-    sh_gauges = Hashtbl.create 4;
-    sh_timers = Hashtbl.create 16 }
-
-let with_new_shard f =
-  let sh = create_shard () in
-  let saved = Domain.DLS.get shard_key in
-  Domain.DLS.set shard_key (Some sh);
-  let v =
-    Fun.protect ~finally:(fun () -> Domain.DLS.set shard_key saved) f
-  in
-  (v, sh)
-
-let sorted_names tbl =
-  List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) tbl [])
-
-let shard_counters sh =
-  List.map
-    (fun name -> (name, !(Hashtbl.find sh.sh_counters name)))
-    (sorted_names sh.sh_counters)
-
-let merge_shard sh =
-  (* Fold the shard into the shared records. The recording was already
-     gated by the enable flag when it entered the shard, so merging is
-     unconditional; names are merged in sorted order so registration
-     order — and therefore any registry iteration — is deterministic. *)
-  List.iter
-    (fun name ->
-      let v = !(Hashtbl.find sh.sh_counters name) in
-      let c = counter name in
-      c.c_value <- c.c_value + v)
-    (sorted_names sh.sh_counters);
-  List.iter
-    (fun name ->
-      let v = !(Hashtbl.find sh.sh_gauges name) in
-      let g = gauge name in
-      (* High-water semantics: shards are parallel workers reporting levels
-         (queue depth, in-flight); "what was the worst moment" is the only
-         merge that doesn't depend on merge order. Coordinators that want
-         to overwrite (e.g. a final post-drain zero) call [set] directly
-         from outside any shard. *)
-      g.g_value <- (if g.g_set then Float.max g.g_value v else v);
-      g.g_set <- true)
-    (sorted_names sh.sh_gauges);
-  List.iter
-    (fun name ->
-      let st = Hashtbl.find sh.sh_timers name in
-      let t = timer name in
-      t.t_count <- t.t_count + st.sh_count;
-      t.t_sum <- t.t_sum +. st.sh_sum;
-      if st.sh_max > t.t_max then t.t_max <- st.sh_max;
-      for i = 0 to n_buckets - 1 do
-        t.t_buckets.(i) <- t.t_buckets.(i) + st.sh_buckets.(i)
-      done)
-    (sorted_names sh.sh_timers)
 
 (* --- JSON --- *)
 

@@ -14,14 +14,23 @@
     that need isolation, such as per-experiment benchmark sections, use
     {!reset} between measurements.
 
-    {b Domain safety.} Registration and snapshot/reset take an internal
-    lock, so handles may be created from any domain. Recording into the
-    shared records is {e not} synchronised — concurrent recorders must
-    instead run under {!with_new_shard}, which redirects every recording
-    operation on the calling domain into a private shard the coordinator
-    later folds back with {!merge_shard}. While a shard is installed the
-    tracer hooks are suppressed (the ring-buffer tracer is not
-    domain-safe); the span stack is domain-local throughout. *)
+    {b Domain safety.} Every counter and timer is a set of atomic cells
+    and gauges are atomic too, so any domain may record into any metric at
+    any time — parallel pool jobs and server worker domains record
+    directly, with no per-domain buffer to merge. Counter totals are exact
+    under concurrency, and a snapshot taken while other domains record is
+    internally consistent (a timer's [count] always equals its bucket
+    total). Registration and snapshot/reset take an internal lock, so
+    handles may be created from any domain. The span stack is
+    domain-local. The tracer is not domain-safe: parallel jobs run under
+    {!untraced}, which silences event emission on their domain while
+    recording carries on.
+
+    {b Unregistered cells.} {!unregistered_counter} and
+    {!unregistered_timer} make cells outside the registry, for families an
+    object owns, such as one server's request counters and latency
+    histograms. They record regardless of the enable flag, never appear
+    in {!snapshot}, and are not cleared by {!reset}. *)
 
 type counter
 type gauge
@@ -87,6 +96,15 @@ val gauge : string -> gauge
 
 val timer : string -> timer
 
+val unregistered_counter : string -> counter
+(** A counter outside the registry that always records (see
+    {e Unregistered cells} above). The name is only a label for its
+    owner's exposition. *)
+
+val unregistered_timer : string -> timer
+(** A timer outside the registry that always records through {!observe}.
+    ({!time} stays gated by the registry flag or an installed tracer.) *)
+
 (* --- recording (no-ops while disabled) --- *)
 
 val incr : counter -> unit
@@ -119,36 +137,11 @@ val with_span : ?args:(unit -> span_args) -> string -> (unit -> 'a) -> 'a
 val span_stack : unit -> string list
 (** The names of the currently open spans, innermost first (for tests). *)
 
-(* --- per-domain shards --- *)
-
-type shard
-(** A private buffer of recordings, keyed by metric name. Worker domains
-    record into one; the coordinating domain merges them back. *)
-
-val with_new_shard : (unit -> 'a) -> 'a * shard
-(** Run a thunk with a fresh shard installed on the calling domain: every
-    {!incr}/{!add}/{!set}/{!observe} (and {!time}/{!with_span} recording)
-    inside it lands in the shard instead of the shared records, and the
-    tracer hooks stay silent. Returns the thunk's value and the shard; the
-    previous shard (if any — shards nest) is restored afterwards, also on
-    exceptions. The shard escapes deliberately: merge it with
-    {!merge_shard} from whichever domain coordinates the workers, in a
-    deterministic order if reproducible registries matter. *)
-
-val merge_shard : shard -> unit
-(** Fold a shard into the shared records: counter values and timer
-    count/sum/histograms add, timer maxima combine, and gauges merge as
-    {e high-water marks} — the merged value is the max of the current value
-    and the shard's last [set], so N shards merged in any order report the
-    worst level any worker saw. (A coordinator that needs to overwrite —
-    e.g. recording a final post-drain zero — calls {!set} directly from
-    outside any shard; direct sets always overwrite.) Call from one domain
-    at a time — typically the coordinator after joining its workers. Metric
-    names inside the shard are merged in sorted order, so
-    first-registration order is deterministic. *)
-
-val shard_counters : shard -> (string * int) list
-(** The counters recorded in a shard, sorted by name (for tests). *)
+val untraced : (unit -> 'a) -> 'a
+(** Run a thunk with the tracer hooks silenced on the calling domain
+    (restored afterwards, also on exceptions); recording is unaffected.
+    Parallel jobs wrap their work in it, so trace output comes only from
+    the coordinating domain and stays balanced at any domain count. *)
 
 (* --- reading --- *)
 
@@ -158,16 +151,19 @@ val gauge_value : gauge -> float option
 
 val bucket_bounds : float array
 (** The fixed log-scale bucket upper bounds, in seconds, shared by every
-    timer: powers of 4 from 4ns, the last entry [infinity]. *)
+    timer: powers of 2 from 4ns ([4ns * 2^i] for [i = 0 .. 38], about
+    1100s at the top), the last entry [infinity]. An observation is rounded
+    to whole nanoseconds and lands in the first bucket whose bound covers
+    it, so quantile estimates are within 2x of the true value. *)
 
 type timer_stats = {
   count : int;  (** number of observations *)
-  sum : float;  (** total observed seconds *)
+  sum : float;  (** total observed seconds (kept in whole nanoseconds) *)
   max : float;  (** largest observation, [0.] when empty *)
   buckets : (float * int) list;
-      (** (upper bound in seconds, observations ≤ bound); fixed log-scale
-          bounds — powers of 4 from 4ns — shared by every timer, the last
-          bucket unbounded ([infinity]). *)
+      (** (upper bound in seconds, observations in that bucket), one pair
+          per {!bucket_bounds} entry, the last bucket unbounded
+          ([infinity]). [count] is their sum. *)
 }
 
 val timer_stats : timer -> timer_stats
@@ -181,6 +177,10 @@ type snapshot = {
     never set are omitted. *)
 
 val snapshot : unit -> snapshot
+
+val cells_snapshot : counters:counter list -> timers:timer list -> snapshot
+(** A snapshot of the given cells — typically unregistered ones — under
+    their own names, in the order given, with no gauges. *)
 
 val reset : unit -> unit
 (** Zero every registered metric (registrations survive) and unwind the

@@ -21,8 +21,9 @@ val percentile : Metrics.timer_stats -> float -> float
     seconds from the log-scale histogram: the upper bound of the bucket
     holding the [ceil (q * count)]-th observation, clamped to the observed
     maximum (which also stands in for the unbounded bucket). [0.] when the
-    timer is empty. Because bucket bounds grow by 4x, the estimate [e] of
-    a true quantile [x >= 4ns] satisfies [x <= e <= 4x]. *)
+    timer is empty. Because bucket bounds grow by 2x, the estimate [e] of
+    a true quantile [x >= 4ns] satisfies [x <= e <= 2x] (up to the
+    rounding of observations to whole nanoseconds). *)
 
 val render : Metrics.snapshot -> string
 (** The full exposition page, [# TYPE]-annotated, families grouped,

@@ -54,58 +54,6 @@ type stats = {
   draining : bool;
 }
 
-(* Log-scale latency histogram over lock-free buckets: bucket [i] counts
-   requests in [2^(i-1), 2^i) microseconds. Good to ~70 s with 1-bit
-   resolution, which is all a p50/p99 readout needs. The microsecond sum
-   rides along so the exposition can serve a faithful [_sum]. *)
-module Hist = struct
-  let buckets = 40
-
-  type t = { cells : int Atomic.t array; sum_us : int Atomic.t }
-
-  let create () =
-    { cells = Array.init buckets (fun _ -> Atomic.make 0);
-      sum_us = Atomic.make 0 }
-
-  let observe (h : t) seconds =
-    let us = int_of_float (Float.max 0. seconds *. 1e6) in
-    let rec index i v = if v = 0 || i >= buckets - 1 then i else index (i + 1) (v lsr 1) in
-    ignore (Atomic.fetch_and_add h.sum_us us);
-    Atomic.incr h.cells.(index 0 us)
-
-  let count (h : t) =
-    Array.fold_left (fun acc c -> acc + Atomic.get c) 0 h.cells
-
-  let sum_s (h : t) = float_of_int (Atomic.get h.sum_us) *. 1e-6
-
-  let quantile (h : t) q =
-    let total = count h in
-    if total = 0 then 0.
-    else begin
-      let rank = max 1 (int_of_float (ceil (q *. float_of_int total))) in
-      let rec go i acc =
-        let acc = acc + Atomic.get h.cells.(i) in
-        if acc >= rank || i = buckets - 1 then
-          (* upper bound of bucket i, in seconds *)
-          Float.of_int (1 lsl i) *. 1e-6
-        else go (i + 1) acc
-      in
-      go 0 0
-    end
-
-  (* (upper bound in seconds, cumulative count) per bucket, the last bound
-     [infinity] — bucket [buckets-1] already catches everything beyond. *)
-  let cumulative (h : t) =
-    let acc = ref 0 in
-    List.init buckets (fun i ->
-        acc := !acc + Atomic.get h.cells.(i);
-        let bound =
-          if i = buckets - 1 then infinity
-          else Float.of_int (1 lsl i) *. 1e-6
-        in
-        (bound, !acc))
-end
-
 (* The fixed verb families every per-verb counter/histogram is keyed by:
    one slot per protocol request kind, plus "malformed" for lines that
    never parsed. Indexing is by [verb_index], total over any kind string. *)
@@ -118,6 +66,37 @@ let verb_index kind =
   let rec go i = if i >= n - 1 then n - 1 else if verbs.(i) = kind then i else go (i + 1) in
   go 0
 
+(* The server's own metric cells: unregistered, so each [t] counts only its
+   own traffic and records whether or not the process-wide registry is
+   enabled. Names are the exposition series [metrics_lines] serves. *)
+type cells = {
+  requests : Metrics.counter;
+  connections : Metrics.counter;
+  errors : Metrics.counter;
+  shed : Metrics.counter;
+  timeouts : Metrics.counter;
+  latency : Metrics.timer;
+  verb_requests : Metrics.counter array;  (** indexed like [verbs] *)
+  verb_errors : Metrics.counter array;
+  verb_latency : Metrics.timer array;
+}
+
+let create_cells () =
+  let per_verb make family =
+    Array.map (fun verb -> make (Printf.sprintf "%s{verb=%S}" family verb)) verbs
+  in
+  { requests = Metrics.unregistered_counter "wolves_server_requests_total";
+    connections = Metrics.unregistered_counter "wolves_server_connections_total";
+    errors = Metrics.unregistered_counter "wolves_server_errors_total";
+    shed = Metrics.unregistered_counter "wolves_server_shed_total";
+    timeouts = Metrics.unregistered_counter "wolves_server_timeouts_total";
+    latency = Metrics.unregistered_timer "wolves_server_latency";
+    verb_requests =
+      per_verb Metrics.unregistered_counter "wolves_server_verb_requests_total";
+    verb_errors =
+      per_verb Metrics.unregistered_counter "wolves_server_verb_errors_total";
+    verb_latency = per_verb Metrics.unregistered_timer "wolves_server_verb_latency" }
+
 type t = {
   config : config;
   service : Service.t;
@@ -126,7 +105,6 @@ type t = {
   queue : (Unix.file_descr * float) Queue.t;
   qlock : Mutex.t;
   qcond : Condition.t;
-  merge_lock : Mutex.t;  (** serialises obs shard merges across domains *)
   stop_lock : Mutex.t;
   mutable stopped : bool;
   mutable acceptor : unit Domain.t option;
@@ -135,31 +113,13 @@ type t = {
   mutable socket_path : string option;
   active : Unix.file_descr option Atomic.t array;
       (** per-worker connection being served, for drain cut-off *)
-  c_connections : int Atomic.t;
-  c_requests : int Atomic.t;
-  c_errors : int Atomic.t;
-  c_shed : int Atomic.t;
-  c_timeouts : int Atomic.t;
-  c_in_flight : int Atomic.t;
-  latency : Hist.t;
+  cells : cells;
+  in_flight : int Atomic.t;  (** requests being handled right now *)
   next_req_id : int Atomic.t;
-  verb_requests : int Atomic.t array;  (** indexed like [verbs] *)
-  verb_errors : int Atomic.t array;
-  verb_latency : Hist.t array;
   trace_ring : Ring.t option;  (** sampled request spans, when sampling *)
   mutable saved_tracer : Metrics.tracer option;  (** restored on [stop] *)
   started_at : float;
 }
-
-(* Obs handles; recorded through per-domain shards (workers are not the
-   main domain), merged under [merge_lock]. *)
-let m_requests = Metrics.counter "server.requests"
-let m_errors = Metrics.counter "server.errors"
-let m_shed = Metrics.counter "server.shed"
-let m_connections = Metrics.counter "server.connections"
-let m_request_time = Metrics.timer "server.request"
-let m_queue_depth = Metrics.gauge "server.queue_depth"
-let m_in_flight = Metrics.gauge "server.in_flight"
 
 (* --- request-scoped trace sampling ---------------------------------- *)
 
@@ -210,7 +170,6 @@ let create ?(config = default_config) service =
     queue = Queue.create ();
     qlock = Mutex.create ();
     qcond = Condition.create ();
-    merge_lock = Mutex.create ();
     stop_lock = Mutex.create ();
     stopped = false;
     acceptor = None;
@@ -218,17 +177,9 @@ let create ?(config = default_config) service =
     listener = None;
     socket_path = None;
     active = Array.init config.workers (fun _ -> Atomic.make None);
-    c_connections = Atomic.make 0;
-    c_requests = Atomic.make 0;
-    c_errors = Atomic.make 0;
-    c_shed = Atomic.make 0;
-    c_timeouts = Atomic.make 0;
-    c_in_flight = Atomic.make 0;
-    latency = Hist.create ();
+    cells = create_cells ();
+    in_flight = Atomic.make 0;
     next_req_id = Atomic.make 1;
-    verb_requests = Array.init (Array.length verbs) (fun _ -> Atomic.make 0);
-    verb_errors = Array.init (Array.length verbs) (fun _ -> Atomic.make 0);
-    verb_latency = Array.init (Array.length verbs) (fun _ -> Hist.create ());
     trace_ring;
     saved_tracer;
     started_at = Clock.now () }
@@ -243,17 +194,20 @@ let stop_requested t = Atomic.get t.stop_flag
 let drained t = Atomic.get t.drained_flag
 
 let stats t =
-  { connections = Atomic.get t.c_connections;
-    requests = Atomic.get t.c_requests;
-    errors = Atomic.get t.c_errors;
-    shed = Atomic.get t.c_shed;
-    timeouts = Atomic.get t.c_timeouts;
-    in_flight = Atomic.get t.c_in_flight;
+  let c = t.cells in
+  { connections = Metrics.counter_value c.connections;
+    requests = Metrics.counter_value c.requests;
+    errors = Metrics.counter_value c.errors;
+    shed = Metrics.counter_value c.shed;
+    timeouts = Metrics.counter_value c.timeouts;
+    in_flight = Atomic.get t.in_flight;
     queue_depth = queue_len t;
     draining = stop_requested t }
 
 let stats_lines t =
   let s = stats t in
+  let latency = Metrics.timer_stats t.cells.latency in
+  let percentile_ms q = Prom.percentile latency q *. 1e3 in
   [ Printf.sprintf "uptime_s %.3f" (Clock.elapsed_since t.started_at);
     Printf.sprintf "corpus %d" (Service.size t.service);
     Printf.sprintf "workers %d" t.config.workers;
@@ -262,108 +216,74 @@ let stats_lines t =
   @ Array.to_list
       (Array.mapi
          (fun i verb ->
-           Printf.sprintf "requests_%s %d" verb (Atomic.get t.verb_requests.(i)))
+           Printf.sprintf "requests_%s %d" verb
+             (Metrics.counter_value t.cells.verb_requests.(i)))
          verbs)
   @ [ Printf.sprintf "errors %d" s.errors;
       Printf.sprintf "shed %d" s.shed;
       Printf.sprintf "timeouts %d" s.timeouts;
       Printf.sprintf "in_flight %d" s.in_flight;
       Printf.sprintf "queue_depth %d" s.queue_depth;
-      Printf.sprintf "latency_p50_ms %.3f" (Hist.quantile t.latency 0.5 *. 1e3);
-      Printf.sprintf "latency_p99_ms %.3f" (Hist.quantile t.latency 0.99 *. 1e3);
+      Printf.sprintf "latency_p50_ms %.3f" (percentile_ms 0.5);
+      Printf.sprintf "latency_p99_ms %.3f" (percentile_ms 0.99);
       Printf.sprintf "draining %b" s.draining ]
 
 (* --- Prometheus exposition ------------------------------------------ *)
 
-let fmt_bound b = if b = infinity then "+Inf" else Printf.sprintf "%.12g" b
-
-(* The server's own families are rendered by hand under a [wolves_] prefix
-   so they can never collide with registry-derived names (the registry's
-   [server.requests] counter becomes [server_requests_total]); the
-   registry snapshot is appended through [Prom.render]. *)
+(* The page is three parts: the server's cells and levels as one snapshot
+   through [Prom.render], the [{verb=...}] families by hand (the registry
+   has no labels), then the process-wide registry through [Prom.render].
+   The server's families carry a [wolves_] prefix, so they never collide
+   with registry-derived names. *)
 let metrics_lines t =
-  let buf = Buffer.create 4096 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_char buf '\n')
-      fmt
+  let s = stats t and c = t.cells in
+  let own =
+    Metrics.cells_snapshot
+      ~counters:[ c.requests; c.connections; c.errors; c.shed; c.timeouts ]
+      ~timers:[ c.latency ]
   in
-  let counter name v =
-    line "# TYPE %s counter" name;
-    line "%s %d" name v
+  let ring_counters, ring_gauges =
+    match t.trace_ring with
+    | Some ring ->
+        ( [ ("wolves_server_trace_ring_dropped_total", Ring.dropped ring) ],
+          [ ("wolves_server_trace_ring_events", float_of_int (Ring.length ring)) ] )
+    | None -> ([], [])
   in
-  let gauge name v =
-    line "# TYPE %s gauge" name;
-    line "%s %s" name v
+  let own =
+    { own with
+      counters = own.counters @ ring_counters;
+      gauges =
+        [ ("wolves_server_uptime_seconds", Clock.elapsed_since t.started_at);
+          ("wolves_server_in_flight", float_of_int s.in_flight);
+          ("wolves_server_queue_depth", float_of_int s.queue_depth);
+          ("wolves_server_draining", if s.draining then 1. else 0.) ]
+        @ ring_gauges }
   in
-  let s = stats t in
-  gauge "wolves_server_uptime_seconds"
-    (Printf.sprintf "%.3f" (Clock.elapsed_since t.started_at));
-  counter "wolves_server_requests_total" s.requests;
-  counter "wolves_server_connections_total" s.connections;
-  counter "wolves_server_errors_total" s.errors;
-  counter "wolves_server_shed_total" s.shed;
-  counter "wolves_server_timeouts_total" s.timeouts;
-  gauge "wolves_server_in_flight" (string_of_int s.in_flight);
-  gauge "wolves_server_queue_depth" (string_of_int s.queue_depth);
-  gauge "wolves_server_draining" (if s.draining then "1" else "0");
-  line "# TYPE wolves_server_verb_requests_total counter";
+  let buf = Buffer.create 8192 in
+  Buffer.add_string buf (Prom.render own);
+  let per_verb_counter family cells =
+    Printf.bprintf buf "# TYPE %s counter\n" family;
+    Array.iteri
+      (fun i verb ->
+        Printf.bprintf buf "%s{verb=\"%s\"} %d\n" family verb
+          (Metrics.counter_value cells.(i)))
+      verbs
+  in
+  per_verb_counter "wolves_server_verb_requests_total" c.verb_requests;
+  per_verb_counter "wolves_server_verb_errors_total" c.verb_errors;
+  Buffer.add_string buf "# TYPE wolves_server_verb_latency_seconds_quantile gauge\n";
   Array.iteri
     (fun i verb ->
-      line "wolves_server_verb_requests_total{verb=\"%s\"} %d" verb
-        (Atomic.get t.verb_requests.(i)))
-    verbs;
-  line "# TYPE wolves_server_verb_errors_total counter";
-  Array.iteri
-    (fun i verb ->
-      line "wolves_server_verb_errors_total{verb=\"%s\"} %d" verb
-        (Atomic.get t.verb_errors.(i)))
-    verbs;
-  let total = Hist.count t.latency in
-  if total > 0 then begin
-    line "# TYPE wolves_server_latency_seconds histogram";
-    List.iter
-      (fun (bound, cum) ->
-        line "wolves_server_latency_seconds_bucket{le=\"%s\"} %d"
-          (fmt_bound bound) cum)
-      (Hist.cumulative t.latency);
-    line "wolves_server_latency_seconds_sum %.9g" (Hist.sum_s t.latency);
-    line "wolves_server_latency_seconds_count %d" total;
-    line "# TYPE wolves_server_latency_seconds_quantile gauge";
-    List.iter
-      (fun q ->
-        line "wolves_server_latency_seconds_quantile{quantile=\"%g\"} %.9g" q
-          (Hist.quantile t.latency q))
-      [ 0.5; 0.9; 0.99 ]
-  end;
-  line "# TYPE wolves_server_verb_latency_seconds_quantile gauge";
-  Array.iteri
-    (fun i verb ->
-      if Hist.count t.verb_latency.(i) > 0 then
+      let st = Metrics.timer_stats c.verb_latency.(i) in
+      if st.Metrics.count > 0 then
         List.iter
           (fun q ->
-            line
-              "wolves_server_verb_latency_seconds_quantile{verb=\"%s\",quantile=\"%g\"} %.9g"
-              verb q
-              (Hist.quantile t.verb_latency.(i) q))
+            Printf.bprintf buf
+              "wolves_server_verb_latency_seconds_quantile{verb=\"%s\",quantile=\"%g\"} %.9g\n"
+              verb q (Prom.percentile st q))
           [ 0.5; 0.99 ])
     verbs;
-  (match t.trace_ring with
-  | Some ring ->
-      gauge "wolves_server_trace_ring_events" (string_of_int (Ring.length ring));
-      counter "wolves_server_trace_ring_dropped_total" (Ring.dropped ring)
-  | None -> ());
-  (* Registry families (only meaningful when serving with metrics on);
-     snapshot under merge_lock so no worker's half-merged shard is read. *)
-  let snap =
-    Mutex.lock t.merge_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.merge_lock)
-      Metrics.snapshot
-  in
-  Buffer.add_string buf (Prom.render snap);
+  Buffer.add_string buf (Prom.render (Metrics.snapshot ()));
   String.split_on_char '\n' (Buffer.contents buf)
   |> List.filter (fun l -> l <> "")
 
@@ -392,35 +312,6 @@ let handle_request t ?(spent_s = 0.) request =
   | request ->
       Service.handle ~domains:1 ~spent_s
         ?default_deadline_ms:t.config.default_deadline_ms t.service request
-
-(* Merge one request's metrics into the registry. Shards keep worker-domain
-   recording race-free; the merge itself is serialised by [merge_lock]
-   (merge_shard's contract is one merging domain at a time). *)
-let record_obs t ~kind ~is_error ~elapsed_s =
-  if Metrics.is_enabled () then begin
-    let (), shard =
-      Metrics.with_new_shard (fun () ->
-          Metrics.incr m_requests;
-          if is_error then Metrics.incr m_errors;
-          Metrics.observe m_request_time elapsed_s;
-          Metrics.set m_queue_depth (float_of_int (queue_len t));
-          Metrics.set m_in_flight (float_of_int (Atomic.get t.c_in_flight));
-          Metrics.instant "server.request" (fun () -> [ ("kind", kind) ]))
-    in
-    Mutex.lock t.merge_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.merge_lock)
-      (fun () -> Metrics.merge_shard shard)
-  end
-
-let merge_counter t counter =
-  if Metrics.is_enabled () then begin
-    let (), shard = Metrics.with_new_shard (fun () -> Metrics.incr counter) in
-    Mutex.lock t.merge_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.merge_lock)
-      (fun () -> Metrics.merge_shard shard)
-  end
 
 (* --- access log ------------------------------------------------------ *)
 
@@ -485,15 +376,14 @@ let log_request t ~rid ~kind ~parsed ~reply ~queued_s ~handler_s ~elapsed_s
   end
 
 let serve_connection t ?(queued_s = 0.) (conn : Net_io.t) =
-  Atomic.incr t.c_connections;
-  merge_counter t m_connections;
+  Metrics.incr t.cells.connections;
   let reader = Net_io.Lines.reader conn in
   (* best-effort send: a dying peer must not take the worker with it *)
   let send s =
     match Net_io.send_all conn s with
     | () -> true
     | exception Net_io.Timeout ->
-        Atomic.incr t.c_timeouts;
+        Metrics.incr t.cells.timeouts;
         false
     | exception Net_io.Net_error _ -> false
   in
@@ -515,7 +405,7 @@ let serve_connection t ?(queued_s = 0.) (conn : Net_io.t) =
          | `Eof -> continue := false
          | `Too_long ->
              (* framing is lost: reply once, then the connection must die *)
-             Atomic.incr t.c_errors;
+             Metrics.incr t.cells.errors;
              ignore
                (send
                   (Protocol.render
@@ -527,7 +417,7 @@ let serve_connection t ?(queued_s = 0.) (conn : Net_io.t) =
          | `Line line when String.trim line = "" -> ()
          | `Line line ->
              let t0 = Clock.now () in
-             Atomic.incr t.c_in_flight;
+             Atomic.incr t.in_flight;
              let rid = Atomic.fetch_and_add t.next_req_id 1 in
              let parsed = Protocol.parse line in
              let kind =
@@ -586,20 +476,17 @@ let serve_connection t ?(queued_s = 0.) (conn : Net_io.t) =
              let rendered = Protocol.render reply in
              let sent_ok = send rendered in
              let elapsed_s = Clock.elapsed_since t0 in
-             Hist.observe t.latency elapsed_s;
-             Atomic.incr t.c_requests;
-             let vi = verb_index kind in
-             Atomic.incr t.verb_requests.(vi);
-             Hist.observe t.verb_latency.(vi) elapsed_s;
-             let is_error =
-               match reply with Protocol.Err _ -> true | _ -> false
-             in
-             if is_error then begin
-               Atomic.incr t.c_errors;
-               Atomic.incr t.verb_errors.(vi)
-             end;
-             Atomic.decr t.c_in_flight;
-             record_obs t ~kind ~is_error ~elapsed_s;
+             let c = t.cells and vi = verb_index kind in
+             Metrics.observe c.latency elapsed_s;
+             Metrics.incr c.requests;
+             Metrics.incr c.verb_requests.(vi);
+             Metrics.observe c.verb_latency.(vi) elapsed_s;
+             (match reply with
+             | Protocol.Err _ ->
+                 Metrics.incr c.errors;
+                 Metrics.incr c.verb_errors.(vi)
+             | _ -> ());
+             Atomic.decr t.in_flight;
              log_request t ~rid ~kind ~parsed ~reply ~queued_s:this_queued_s
                ~handler_s ~elapsed_s ~bytes_in:(String.length line + 1)
                ~bytes_out:(String.length rendered) ~sampled:(sample_buf <> None)
@@ -612,14 +499,14 @@ let serve_connection t ?(queued_s = 0.) (conn : Net_io.t) =
    with
   | Net_io.Timeout ->
       (* slow-loris or idle past the read deadline *)
-      Atomic.incr t.c_timeouts;
+      Metrics.incr t.cells.timeouts;
       (try
          Net_io.send_all conn
            (Protocol.render
               (Protocol.Err ("timeout", "no complete request within deadline")))
        with Net_io.Timeout | Net_io.Net_error _ -> ())
   | Net_io.Net_error _ -> ()
-  | _ -> Atomic.incr t.c_errors);
+  | _ -> Metrics.incr t.cells.errors);
   try conn.Net_io.close () with _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -627,8 +514,7 @@ let serve_connection t ?(queued_s = 0.) (conn : Net_io.t) =
 (* ------------------------------------------------------------------ *)
 
 let shed_connection t fd =
-  Atomic.incr t.c_shed;
-  merge_counter t m_shed;
+  Metrics.incr t.cells.shed;
   let rid = Atomic.fetch_and_add t.next_req_id 1 in
   Log.event Log.Info "request" (fun () ->
       (* the request line was never read — the connection was refused at
@@ -823,13 +709,6 @@ let stop t =
         Mutex.unlock t.qlock;
         List.iter Domain.join t.worker_domains;
         t.worker_domains <- [];
-        (* flush final gauge values so a post-drain dump reads zero —
-           directly, not via a shard: shards merge as high-water marks and
-           would keep the busy-period peak instead of the zero *)
-        if Metrics.is_enabled () then begin
-          Metrics.set m_queue_depth 0.;
-          Metrics.set m_in_flight 0.
-        end;
         (* hand the tracer slot back and get the access log on disk *)
         if t.trace_ring <> None then Metrics.set_tracer t.saved_tracer;
         Log.flush ();

@@ -21,13 +21,16 @@
     - {b Graceful drain}: {!request_stop} (safe from a signal handler)
       stops the acceptor; in-flight requests finish, queued-but-unserved
       connections get [ERR shutting-down], stragglers are cut after a
-      grace period, metrics are flushed, and {!stop} returns — the CLI
-      then exits 0.
+      grace period, the access log is flushed, and {!stop} returns — the
+      CLI then exits 0.
     - {b Observability}: every request gets a monotonically assigned id
       and (when a {!Wolves_obs.Log} sink is installed) one structured
       access-log record carrying verb, deadline, queue wait, handler time,
-      bytes and outcome; per-verb counters and latency histograms feed the
-      [STATS] reply and the [METRICS] Prometheus exposition; with
+      bytes and outcome; the server's own {!Wolves_obs.Metrics} cells
+      (unregistered, so each server counts only its own traffic, and
+      always recording, whether or not the process-wide registry is
+      enabled) — aggregate and per-verb counters and latency histograms —
+      feed the [STATS] reply and the [METRICS] Prometheus exposition; with
       [trace_sample > 0] every Nth request's spans are buffered
       domain-locally and committed contiguously to a shared ring, drained
       live by the [TRACE] verb.
@@ -77,8 +80,8 @@ type stats = {
 type t
 
 val create : ?config:config -> Service.t -> t
-(** A server with no listener: counters, histogram and dispatch only.
-    This is what the chaos tests drive via {!serve_connection}. *)
+(** A server with no listener: metric cells and dispatch only. This is
+    what the chaos tests drive via {!serve_connection}. *)
 
 type listen = Tcp of string * int | Unix_socket of string
 
@@ -111,14 +114,17 @@ val verbs : string array
 val stats_lines : t -> string list
 (** The [STATS] reply payload: one [key value] line per field — uptime,
     corpus size, aggregate counters, one [requests_<verb>] line per
-    {!verbs} entry, queue/in-flight levels and latency percentiles. *)
+    {!verbs} entry, queue/in-flight levels and latency percentiles
+    ({!Wolves_obs.Prom.percentile} over the latency histogram). *)
 
 val metrics_lines : t -> string list
-(** The [METRICS] reply payload: Prometheus text exposition of the
-    server's own families ([wolves_server_*]: counters, per-verb counters,
-    the latency histogram with explicit bucket bounds and [+Inf], derived
-    quantile gauges) followed by the {!Wolves_obs.Metrics} registry
-    rendered by {!Wolves_obs.Prom.render}. *)
+(** The [METRICS] reply payload, Prometheus text exposition in three
+    parts: the server's cells and levels rendered by
+    {!Wolves_obs.Prom.render} ([wolves_server_*] counters, gauges and the
+    latency histogram with explicit bucket bounds, [+Inf], [_max] and
+    derived quantile gauges); the per-verb [{verb="..."}] counter and
+    quantile families; then the process-wide {!Wolves_obs.Metrics}
+    registry, also rendered by {!Wolves_obs.Prom.render}. *)
 
 val trace_events : t -> Wolves_trace.Trace.event list
 (** The sampled-request events currently retained in the trace ring,
@@ -133,8 +139,8 @@ val stop_requested : t -> bool
 val stop : t -> unit
 (** Drain and join everything; idempotent, safe to call concurrently.
     After [stop], the listener is closed (and a Unix socket path
-    unlinked), all domains are joined, and final gauge values are
-    flushed to {!Wolves_obs.Metrics}. *)
+    unlinked), all domains are joined, the tracer installed by {!create}
+    is restored and the access log is flushed. *)
 
 val drained : t -> bool
 (** The server has fully stopped (all domains joined). *)

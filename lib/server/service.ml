@@ -10,12 +10,11 @@ type t = { views : (string, View.t) Hashtbl.t; ids : string list }
 
 (* Force every lazily-built structure a request handler can touch. After
    this, concurrent handlers only read: the closure rows, the transposed
-   ancestors cache, the label index and the view-graph closure are all
-   immutable once built. *)
+   ancestors cache and the view-graph closure are all immutable once
+   built. *)
 let pin view =
   let spec = View.spec view in
   let reach = Spec.reach spec in
-  ignore (Spec.labels spec);
   if Spec.n_tasks spec > 0 then ignore (Reach.ancestors reach 0);
   ignore (View.view_reach view)
 

@@ -129,8 +129,8 @@ val depends : t -> task -> task -> bool
 
 val labels : t -> Wolves_graph.Labels.t
 (** The compact reachability-label index ({!Wolves_graph.Labels}) of the
-    dependency graph, computed once and cached — the backend behind
-    [Soundness.validate ~engine:`Labels]. *)
+    dependency graph, computed once and cached (read by
+    [wolves analyze --labels]). *)
 
 val annotation : t -> task -> (task * task list) list option
 (** A task's dependency-annotation entries (output consumer, input

@@ -239,38 +239,6 @@ let test_labels_index_smaller () =
     (Labels.index_words labels * 4 < closure_words)
 
 (* ------------------------------------------------------------------ *)
-(* Soundness engine agreement (acceptance criterion)                   *)
-(* ------------------------------------------------------------------ *)
-
-let report_fingerprint (r : S.report) =
-  List.map (fun (c, witnesses) -> (c, witnesses)) r.S.unsound
-
-let test_label_engine_agrees () =
-  let corpus =
-    Views.unsound_corpus ~seed:41 ~families:Gen.all_families ~sizes:[ 24; 64 ]
-      ~per_cell:2
-    @ List.map
-        (fun spec ->
-          (spec, Views.build ~seed:9 (Views.Connected_groups 4) spec))
-        (small_specs ())
-  in
-  List.iter
-    (fun (_, view) ->
-      let reference = report_fingerprint (S.validate ~domains:1 view) in
-      List.iter
-        (fun domains ->
-          let labelled =
-            report_fingerprint (S.validate ~domains ~engine:`Labels view)
-          in
-          check_bool
-            (Printf.sprintf "label engine = closure engine (%d domains)"
-               domains)
-            true
-            (labelled = reference))
-        [ 1; 2; 4; 8 ])
-    corpus
-
-(* ------------------------------------------------------------------ *)
 (* Fine-grained flow                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -472,9 +440,7 @@ let () =
           Alcotest.test_case "agree on the unsound corpus" `Quick
             test_labels_on_unsound_corpus;
           Alcotest.test_case "index far smaller on pipelines" `Quick
-            test_labels_index_smaller;
-          Alcotest.test_case "soundness engine agreement at 1/2/4/8 domains"
-            `Quick test_label_engine_agrees ] );
+            test_labels_index_smaller ] );
       ( "flow",
         [ Alcotest.test_case "no annotations = plain reachability" `Quick
             test_flow_without_annotations_is_reachability;

@@ -1,7 +1,7 @@
 (* The domain pool and the parallel = sequential contracts: closure rows,
    soundness verdicts and corrector outputs must be byte-identical at every
-   domain count, and per-domain metric shards must merge to the totals the
-   sequential run records. *)
+   domain count, and metrics recorded from worker domains must add up to
+   the totals the sequential run records. *)
 
 module Par = Wolves_par.Par
 module Bitset = Wolves_graph.Bitset
@@ -13,6 +13,7 @@ module C = Wolves_core.Corrector
 module Gen = Wolves_workload.Generate
 module Views = Wolves_workload.Views
 module Metrics = Wolves_obs.Metrics
+module Prom = Wolves_obs.Prom
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -194,10 +195,10 @@ let test_correct_families () =
     corpus
 
 (* ------------------------------------------------------------------ *)
-(* Metric shards                                                       *)
+(* Metrics recorded from pool jobs and spawned domains                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The registry totals a parallel validate merges back must equal the
+(* The registry totals a parallel validate records must equal the
    sequential run's, counter for counter. *)
 let test_validate_metric_totals () =
   let spec = Gen.generate Gen.Layered ~seed:9 ~size:80 in
@@ -218,34 +219,76 @@ let test_validate_metric_totals () =
   List.iter
     (fun d ->
       check_bool
-        (Printf.sprintf "shard totals match sequential at %d domains" d)
+        (Printf.sprintf "registry totals match sequential at %d domains" d)
         true
         (soundness_counters d = reference))
     [ 2; 4; 8 ]
 
-(* Shards from explicitly spawned domains: recordings stay private until
-   the coordinator merges them, and the merge adds up. *)
-let test_shard_merge_across_domains () =
-  Metrics.reset ();
-  let c = Metrics.counter "test.par.shard_merge" in
-  Metrics.enabled @@ fun () ->
-  let workers =
-    Array.init 2 (fun k ->
-        Domain.spawn (fun () ->
-            snd
-              (Metrics.with_new_shard (fun () ->
-                   for _ = 1 to 50 + k do
-                     Metrics.incr c
-                   done))))
+(* The corrector's jobs record straight into the registry too: every
+   counter it and the validator bump adds up to the sequential totals. *)
+let test_correct_metric_totals () =
+  let view =
+    Views.inject_unsoundness ~seed:5 ~attempts:40
+      (Views.build ~seed:5 (Views.Topological_bands 6)
+         (Gen.generate Gen.Layered ~seed:5 ~size:48))
   in
-  let shards = Array.map Domain.join workers in
-  check_int "shared record untouched before merge" 0 (Metrics.counter_value c);
-  Alcotest.(check (list (pair string int)))
-    "shard contents readable"
-    [ ("test.par.shard_merge", 50) ]
-    (Metrics.shard_counters shards.(0));
-  Array.iter Metrics.merge_shard shards;
-  check_int "merged total" 101 (Metrics.counter_value c)
+  let counters d =
+    Metrics.reset ();
+    Metrics.enabled (fun () -> ignore (C.correct ~domains:d C.Strong view));
+    (Metrics.snapshot ()).Metrics.counters
+  in
+  check_bool "several unsound composites, so the splits farm out" true
+    (List.length (S.validate ~domains:1 view).S.unsound >= 2);
+  let reference = counters 1 in
+  check_bool "sequential correction recorded something" true
+    (List.exists (fun (_, v) -> v > 0) reference);
+  List.iter
+    (fun d ->
+      check_bool
+        (Printf.sprintf "correct counters match sequential at %d domains" d)
+        true
+        (counters d = reference))
+    [ 2; 4; 8 ]
+
+(* Explicitly spawned domains hammer one counter and one timer while this
+   domain keeps rendering snapshots: every mid-flight page is a valid
+   exposition (a histogram's _count always equals its +Inf bucket), and
+   the final totals are exact. *)
+let test_recording_across_domains () =
+  Metrics.reset ();
+  let c = Metrics.counter "test.par.cells" in
+  let t = Metrics.timer "test.par.cells_t" in
+  let k = 4 and per = 20_000 in
+  (* durations in whole microseconds, so the nanosecond sum is exact *)
+  let dur i = float_of_int ((i mod 7) + 1) *. 1e-6 in
+  Metrics.enabled @@ fun () ->
+  let finished = Atomic.make 0 in
+  let workers =
+    Array.init k (fun _ ->
+        Domain.spawn (fun () ->
+            for i = 1 to per do
+              Metrics.incr c;
+              Metrics.observe t (dur i)
+            done;
+            Atomic.incr finished))
+  in
+  let pages = ref 0 in
+  while Atomic.get finished < k do
+    (match Prom.check (Prom.render (Metrics.snapshot ())) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "mid-flight snapshot fails the checker: %s" e);
+    incr pages
+  done;
+  Array.iter Domain.join workers;
+  check_bool "snapshots were taken mid-flight" true (!pages > 0);
+  check_int "counter total is exact" (k * per) (Metrics.counter_value c);
+  let st = Metrics.timer_stats t in
+  check_int "timer count is exact" (k * per) st.Metrics.count;
+  let expected_us = ref 0 in
+  for i = 1 to per do expected_us := !expected_us + (i mod 7) + 1 done;
+  Alcotest.(check (float 1e-9)) "timer sum is exact"
+    (float_of_int (k * !expected_us) *. 1e-6) st.Metrics.sum;
+  Alcotest.(check (float 1e-12)) "timer max is exact" 7e-6 st.Metrics.max
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -272,5 +315,7 @@ let () =
       ( "shards",
         [ Alcotest.test_case "validate metric totals" `Quick
             test_validate_metric_totals;
-          Alcotest.test_case "merge across domains" `Quick
-            test_shard_merge_across_domains ] ) ]
+          Alcotest.test_case "correct metric totals" `Quick
+            test_correct_metric_totals;
+          Alcotest.test_case "exact totals across domains" `Quick
+            test_recording_across_domains ] ) ]

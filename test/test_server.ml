@@ -14,6 +14,7 @@ module Client = Wolves_server.Client
 module C = Wolves_core.Corrector
 module Olog = Wolves_obs.Log
 module Prom = Wolves_obs.Prom
+module Metrics = Wolves_obs.Metrics
 module Ring = Wolves_trace.Trace
 
 let check_bool = Alcotest.(check bool)
@@ -274,6 +275,38 @@ let run_session srv ?fault input =
   in
   Server.serve_connection srv conn;
   (Buffer.contents out, inj)
+
+(* Each server owns its counters: two in one process count only their own
+   traffic, and serving never switches the process-wide registry on. *)
+let test_two_servers_separate_stats () =
+  Metrics.set_enabled false;
+  let a = server () and b = server () in
+  ignore (run_session a "PING\nVALIDATE fig1\nFROB nonsense\n");
+  ignore (run_session b "PING\n");
+  let stat srv key =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ k; v ] when k = key -> Some v
+        | _ -> None)
+      (Server.stats_lines srv)
+  in
+  let check_stat name srv key v =
+    Alcotest.(check (option string)) name (Some v) (stat srv key)
+  in
+  check_stat "first server requests" a "requests" "3";
+  check_stat "first server validate" a "requests_validate" "1";
+  check_stat "first server malformed" a "requests_malformed" "1";
+  check_stat "first server errors" a "errors" "1";
+  check_stat "second server requests" b "requests" "1";
+  check_stat "second server ping" b "requests_ping" "1";
+  check_stat "second server validate" b "requests_validate" "0";
+  check_stat "second server errors" b "errors" "0";
+  check_bool "registry still disabled" false (Metrics.is_enabled ());
+  check_bool "no server families in the registry" true
+    (List.for_all
+       (fun (name, _) -> not (String.starts_with ~prefix:"server." name))
+       (Metrics.snapshot ()).Metrics.counters)
 
 let test_chaos_clean_and_short () =
   let srv = server () in
@@ -1050,9 +1083,10 @@ let test_cli_metrics_write_failure_exit () =
       check_bool "primary output still produced" true
         (contains (read_file out) "sound"))
 
-(* The acceptance gate: a served corpus answers over a Unix socket, and
-   SIGTERM drains gracefully with exit status 0. *)
-let test_cli_serve_sigterm_drain () =
+(* Run [wolves serve] on a fresh Unix socket, wait for the socket file
+   (polling every [poll_s]), hand the pid and paths to [f], and always reap
+   the process and remove the files afterwards. *)
+let with_serve_process ?(poll_s = 0.05) f =
   let sock = temp_path ".sock" in
   let out = temp_path ".out" and err = temp_path ".err" in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
@@ -1074,12 +1108,30 @@ let test_cli_serve_sigterm_drain () =
       List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
         [ sock; out; err ])
     (fun () ->
-      (* wait for the listener *)
       let deadline = Unix.gettimeofday () +. 20. in
       while not (Sys.file_exists sock) && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.05
+        Unix.sleepf poll_s
       done;
       check_bool "socket appears" true (Sys.file_exists sock);
+      f pid sock out)
+
+(* SIGTERM, then the process must exit 0 having unlinked its socket. *)
+let check_sigterm_drains pid sock =
+  Unix.kill pid Sys.sigterm;
+  let _, status = Unix.waitpid [] pid in
+  (match status with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED n -> Alcotest.failf "serve exited %d on SIGTERM" n
+  | Unix.WSIGNALED s -> Alcotest.failf "serve killed by signal %d" s
+  | Unix.WSTOPPED _ -> Alcotest.fail "serve stopped");
+  check_bool "socket unlinked on drain" false (Sys.file_exists sock)
+
+(* The acceptance gate: a served corpus answers over a Unix socket, and
+   SIGTERM drains gracefully with exit status 0 — also when it arrives the
+   moment the socket file exists, before the server has answered
+   anything. *)
+let test_cli_serve_sigterm_drain () =
+  with_serve_process (fun pid sock out ->
       let c = connect sock in
       Alcotest.check reply_t "served ping" (Protocol.Ok_lines [ "pong" ])
         (request c "PING");
@@ -1088,16 +1140,13 @@ let test_cli_serve_sigterm_drain () =
           check_bool "synthesized corpus non-empty" true (List.length lines > 0)
       | r -> Alcotest.failf "list: %s" (Protocol.render r));
       Client.close c;
-      Unix.kill pid Sys.sigterm;
-      let _, status = Unix.waitpid [] pid in
-      (match status with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED n -> Alcotest.failf "serve exited %d on SIGTERM" n
-      | Unix.WSIGNALED s -> Alcotest.failf "serve killed by signal %d" s
-      | Unix.WSTOPPED _ -> Alcotest.fail "serve stopped");
-      check_bool "socket unlinked on drain" false (Sys.file_exists sock);
+      check_sigterm_drains pid sock;
       check_bool "drain summary printed" true
-        (contains (read_file out) "drained:"))
+        (contains (read_file out) "drained:"));
+  for _ = 1 to 4 do
+    with_serve_process ~poll_s:0.001 (fun pid sock _ ->
+        check_sigterm_drains pid sock)
+  done
 
 (* ------------------------------------------------------------------ *)
 
@@ -1110,7 +1159,9 @@ let () =
           Alcotest.test_case "parse_reply_stream" `Quick test_parse_reply_stream ] );
       ( "service",
         [ Alcotest.test_case "load and lookup" `Quick test_service_load;
-          Alcotest.test_case "handle" `Quick test_service_handle ] );
+          Alcotest.test_case "handle" `Quick test_service_handle;
+          Alcotest.test_case "two servers keep separate STATS" `Quick
+            test_two_servers_separate_stats ] );
       ( "chaos",
         [ Alcotest.test_case "clean, short reads/writes, CRLF" `Quick
             test_chaos_clean_and_short;
